@@ -76,60 +76,17 @@ mv results/recovery-report-1t.json results/recovery-report.json
 rm -f results/recovery-sweep-4t.json results/recovery-report-4t.json \
     results/recovery-report-1t.norm.json results/recovery-report-4t.norm.json
 
-echo "==> benchmark seed (BENCH_7.json must regenerate byte for byte from the workload)"
-# The committed seed pins the per-size label checksums, operation counters,
-# and modeled hw traffic. Any engine change that shifts them must update
-# the seed in the same commit, keeping the perf trajectory auditable.
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 \
-    --bench-json results/bench-seed.json >/dev/null
-cmp BENCH_7.json results/bench-seed.json
-rm -f results/bench-seed.json
-
-echo "==> benchmark seed (BENCH_8.json: the fleet mode must reproduce the same seed byte for byte)"
-# Same workload regenerated through a SessionFleet: the fleet's cold frame
-# is bit-identical to a one-shot run, so the fleet seed equals BENCH_7.
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 --mode fleet \
-    --bench-json results/bench-seed-fleet.json >/dev/null
-cmp BENCH_8.json results/bench-seed-fleet.json
-cmp BENCH_7.json BENCH_8.json
-rm -f results/bench-seed-fleet.json
-
-echo "==> thread-count invariance (throughput JSON at 1 vs 4 threads must match byte for byte)"
-./target/release/throughput --threads 1 --sizes 160x120,320x240 --frames 1 \
-    --superpixels 150 --iterations 3 \
-    --json results/throughput-1t.json --md results/throughput.md \
-    --report results/throughput-report-1t.json >/dev/null
-./target/release/throughput --threads 4 --sizes 160x120,320x240 --frames 1 \
-    --superpixels 150 --iterations 3 \
-    --json results/throughput-4t.json --md /dev/null \
-    --report results/throughput-report-4t.json >/dev/null
-cmp results/throughput-1t.json results/throughput-4t.json
-cmp results/throughput-report-1t.json results/throughput-report-4t.json
-
-echo "==> mode invariance (throughput JSON across oneshot/session/fleet APIs must match byte for byte)"
-./target/release/throughput --threads 2 --sizes 160x120,320x240 --frames 1 \
-    --superpixels 150 --iterations 3 --mode session \
-    --json results/throughput-session.json --md /dev/null >/dev/null
-cmp results/throughput-1t.json results/throughput-session.json
-./target/release/throughput --threads 2 --sizes 160x120,320x240 --frames 1 \
-    --superpixels 150 --iterations 3 --mode fleet \
-    --json results/throughput-fleet.json --md /dev/null >/dev/null
-cmp results/throughput-1t.json results/throughput-fleet.json
-mv results/throughput-1t.json results/throughput.json
-mv results/throughput-report-1t.json results/throughput-report.json
-rm -f results/throughput-4t.json results/throughput-report-4t.json \
-    results/throughput-session.json results/throughput-fleet.json
-
 echo "==> trace determinism (JSONL + Chrome traces must be byte-identical across repeats and 1 vs 4 threads)"
+# The RunReport legitimately records its thread count, so that one field
+# is normalised before the 1 vs 4 thread report diff.
 ./target/release/sslic dataset results/trace-ds --count 1 --width 160 --height 120 >/dev/null
 trace_seg() {
     ./target/release/sslic segment results/trace-ds/000.ppm \
         --superpixels 150 --iterations 3 --algo hw8 --threads "$1" \
         --out "results/trace-ds/seg-$2" \
         --trace "results/trace-$2.jsonl" \
-        --chrome-trace "results/trace-$2.chrome.json" >/dev/null
+        --chrome-trace "results/trace-$2.chrome.json" \
+        --report "results/trace-report-$2.json" >/dev/null
 }
 trace_seg 1 1a
 trace_seg 1 1b
@@ -137,6 +94,11 @@ trace_seg 4 4t
 cmp results/trace-1a.jsonl results/trace-1b.jsonl
 cmp results/trace-1a.jsonl results/trace-4t.jsonl
 cmp results/trace-1a.chrome.json results/trace-4t.chrome.json
+sed 's/"threads":[0-9]*/"threads":X/' results/trace-report-1a.json \
+    > results/trace-report-1a.norm.json
+sed 's/"threads":[0-9]*/"threads":X/' results/trace-report-4t.json \
+    > results/trace-report-4t.norm.json
+cmp results/trace-report-1a.norm.json results/trace-report-4t.norm.json
 
 echo "==> insight determinism (trace analysis at 1 vs 4 threads must match byte for byte)"
 # The analyzer reads only logical clocks and counters, so its attribution
@@ -155,7 +117,7 @@ rm -f results/insight-4t.txt results/insight-4t.collapsed
 mv results/trace-1a.jsonl results/trace.jsonl
 mv results/trace-1a.chrome.json results/trace.chrome.json
 rm -rf results/trace-ds results/trace-1b.jsonl results/trace-1b.chrome.json \
-    results/trace-4t.jsonl results/trace-4t.chrome.json
+    results/trace-4t.jsonl results/trace-4t.chrome.json results/trace-report-*.json
 
 echo "==> fleet determinism (serve RunReport stream at 1 vs 4 threads must match modulo the threads field)"
 # A multi-stream wire session — two interleaved streams, a close, and a
@@ -218,31 +180,7 @@ kernel_seg swar
 cmp results/kernel-ds/seg-scalar.labels.pgm results/kernel-ds/seg-swar.labels.pgm
 rm -rf results/kernel-ds
 
-echo "==> benchmark seed (BENCH_9.json: fleet mode at 4 threads must reproduce the seed byte for byte)"
-# Thread-count invariance of the committed perf trajectory itself: the
-# fleet-mode seed regenerated at 4 engine threads must equal BENCH_9,
-# which must equal BENCH_8 (this PR changes no datapath arithmetic).
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 4 --mode fleet \
-    --bench-json results/bench-seed-9.json >/dev/null
-cmp BENCH_9.json results/bench-seed-9.json
-cmp BENCH_8.json BENCH_9.json
-rm -f results/bench-seed-9.json
-
-echo "==> benchmark seed (BENCH_10.json: the forced-SWAR kernel must reproduce the seed byte for byte)"
-# The strongest end-to-end pin on the SWAR rewrite: the perf-trajectory
-# seed regenerated entirely through the packed kernel must equal BENCH_10,
-# which must equal BENCH_9 (the kernel changes no workload shape — same
-# checksums, same counters, same modeled traffic).
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 --kernel swar \
-    --bench-json results/bench-seed-10.json >/dev/null
-cmp BENCH_10.json results/bench-seed-10.json
-cmp BENCH_9.json BENCH_10.json
-rm -f results/bench-seed-10.json
-
-echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"
-./target/release/sslic insight bench BENCH_7.json BENCH_8.json BENCH_9.json \
-    BENCH_10.json > results/bench-trajectory.txt
+echo "==> benchmark build (the wall-clock benchmark must compile against the current API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

@@ -1114,7 +1114,7 @@ impl SessionFleet {
 }
 
 /// FNV-1a over a label plane, the fleet's per-stream output fingerprint
-/// (the same fold the throughput bench pins in BENCH_*.json seeds).
+/// (the same fold `tests/bench_seed.rs` pins in `BENCH_SEED.json`).
 pub fn label_checksum(labels: &Plane<u32>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &l in labels.iter() {

@@ -1,16 +1,14 @@
 //! `sslic insight`: offline analysis of the artifacts the workspace
-//! already emits — JSONL traces, `RunReport` lines (including `serve`
-//! streams), and `BENCH_*.json` perf seeds.
+//! already emits — JSONL traces and `RunReport` lines (including `serve`
+//! streams).
 //!
-//! Three views:
+//! Two views:
 //! - **span attribution**: a per-span table of logical-unit and hw-cycle
 //!   cost (total and self) reconstructed from `span_begin`/`span_end`
 //!   pairs, plus a collapsed-stack export in the flamegraph `a;b;c N`
 //!   format;
 //! - **report aggregation**: counters, phase nanos, statuses, and
-//!   per-stream fleet tallies summed over every report line;
-//! - **bench trajectory**: a cross-PR diff of `sslic-bench-seed-v1`
-//!   files that flags counter regressions and checksum drift.
+//!   per-stream fleet tallies summed over every report line.
 //!
 //! Every rendering is a pure function of the parsed inputs: integer-only
 //! arithmetic, name-ordered maps, fixed column widths. Deterministic-mode
@@ -319,244 +317,6 @@ pub fn render_collapsed(a: &Analysis) -> String {
     out
 }
 
-// --- bench trajectory -----------------------------------------------------
-
-/// Schema tag of the committed perf seeds.
-pub const BENCH_SCHEMA: &str = "sslic-bench-seed-v1";
-
-/// One workload row of a bench seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchWorkload {
-    /// Image width.
-    pub width: u64,
-    /// Image height.
-    pub height: u64,
-    /// Pinned label checksum (hex string, verbatim).
-    pub label_checksum: String,
-    /// Every integer counter of the workload, in file order.
-    pub counters: Vec<(String, u64)>,
-}
-
-/// One parsed `sslic-bench-seed-v1` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchSeed {
-    /// Display label (the file name).
-    pub label: String,
-    /// Config echo: algorithm name.
-    pub algorithm: String,
-    /// Config echo: requested superpixels.
-    pub superpixels: u64,
-    /// Config echo: requested iterations.
-    pub iterations: u64,
-    /// Per-size workloads.
-    pub workloads: Vec<BenchWorkload>,
-}
-
-/// Parses a bench seed file, keeping counter order as written.
-pub fn parse_bench(label: &str, text: &str) -> Result<BenchSeed, String> {
-    let j = json::parse(text)?;
-    let schema = j.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != BENCH_SCHEMA {
-        return Err(format!("{label}: unknown bench schema '{schema}'"));
-    }
-    let config = j
-        .get("config")
-        .ok_or_else(|| format!("{label}: missing 'config'"))?;
-    let workloads = j
-        .get("workloads")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{label}: missing 'workloads'"))?
-        .iter()
-        .map(|w| {
-            let mut counters = Vec::new();
-            if let Json::Obj(members) = w {
-                for (k, v) in members {
-                    if matches!(k.as_str(), "width" | "height" | "label_checksum") {
-                        continue;
-                    }
-                    if let Some(n) = v.as_u64() {
-                        counters.push((k.clone(), n));
-                    }
-                }
-            }
-            Some(BenchWorkload {
-                width: w.get("width")?.as_u64()?,
-                height: w.get("height")?.as_u64()?,
-                label_checksum: w.get("label_checksum")?.as_str()?.to_string(),
-                counters,
-            })
-        })
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| format!("{label}: invalid workload entry"))?;
-    Ok(BenchSeed {
-        label: label.to_string(),
-        algorithm: config
-            .get("algorithm")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        superpixels: config.get("superpixels").and_then(Json::as_u64).unwrap_or(0),
-        iterations: config.get("iterations").and_then(Json::as_u64).unwrap_or(0),
-        workloads,
-    })
-}
-
-/// Outcome of a cross-seed diff.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trajectory {
-    /// The rendered trajectory tables.
-    pub rendered: String,
-    /// One line per detected regression (counter increase or checksum
-    /// drift between consecutive seeds). Empty means the trajectory is
-    /// clean.
-    pub regressions: Vec<String>,
-}
-
-fn workload_key(w: &BenchWorkload) -> String {
-    format!("{}x{}", w.width, w.height)
-}
-
-/// Diffs consecutive seeds workload-by-workload. A counter that grows
-/// between seed *i* and seed *i+1* is a regression (more work for the
-/// same workload); a label-checksum change is flagged too, since a seed
-/// bump must be deliberate. Seeds are compared in the order given —
-/// pass them oldest first.
-pub fn bench_trajectory(seeds: &[BenchSeed]) -> Trajectory {
-    let mut t = Trajectory::default();
-    let mut out = String::from("== bench trajectory ==\n");
-    out.push_str("seeds:");
-    for s in seeds {
-        out.push_str(&format!(" {}", s.label));
-    }
-    out.push('\n');
-    if let Some(first) = seeds.first() {
-        out.push_str(&format!(
-            "config: {} superpixels={} iterations={}\n",
-            first.algorithm, first.superpixels, first.iterations
-        ));
-        for s in &seeds[1..] {
-            if (s.algorithm.as_str(), s.superpixels, s.iterations)
-                != (first.algorithm.as_str(), first.superpixels, first.iterations)
-            {
-                out.push_str(&format!(
-                    "note: {} ran a different config ({} superpixels={} iterations={}); \
-                     counters compared anyway\n",
-                    s.label, s.algorithm, s.superpixels, s.iterations
-                ));
-            }
-        }
-    }
-    // Workload keys in order of first appearance across all seeds.
-    let mut keys: Vec<String> = Vec::new();
-    for s in seeds {
-        for w in &s.workloads {
-            let k = workload_key(w);
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-    }
-    for key in &keys {
-        out.push_str(&format!("\nworkload {key}:\n"));
-        let per_seed: Vec<Option<&BenchWorkload>> = seeds
-            .iter()
-            .map(|s| s.workloads.iter().find(|w| &workload_key(w) == key))
-            .collect();
-        // Counter names in order of first appearance.
-        let mut names: Vec<&str> = Vec::new();
-        for w in per_seed.iter().flatten() {
-            for (n, _) in &w.counters {
-                if !names.contains(&n.as_str()) {
-                    names.push(n);
-                }
-            }
-        }
-        out.push_str(&format!("  {:<22}", "counter"));
-        for s in seeds {
-            out.push_str(&format!(" {:>14}", s.label));
-        }
-        out.push_str("  trend\n");
-        for name in &names {
-            out.push_str(&format!("  {name:<22}"));
-            let mut prev: Option<(usize, u64)> = None;
-            let mut trend = '=';
-            for (i, w) in per_seed.iter().enumerate() {
-                let v = w.and_then(|w| {
-                    w.counters
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|&(_, v)| v)
-                });
-                match v {
-                    Some(v) => {
-                        out.push_str(&format!(" {v:>14}"));
-                        if let Some((pi, pv)) = prev {
-                            if v > pv {
-                                trend = if trend == 'v' { '~' } else { '^' };
-                                t.regressions.push(format!(
-                                    "{key} {name}: {pv} -> {v} ({} -> {})",
-                                    seeds[pi].label, seeds[i].label
-                                ));
-                            } else if v < pv {
-                                trend = if trend == '^' { '~' } else { 'v' };
-                            }
-                        }
-                        prev = Some((i, v));
-                    }
-                    None => out.push_str(&format!(" {:>14}", "-")),
-                }
-            }
-            out.push_str(&format!("  {trend}\n"));
-        }
-        // Checksum drift between consecutive present seeds.
-        out.push_str(&format!("  {:<22}", "label_checksum"));
-        let mut prev: Option<(usize, &str)> = None;
-        let mut trend = '=';
-        for (i, w) in per_seed.iter().enumerate() {
-            match w {
-                Some(w) => {
-                    out.push_str(&format!(" {:>14}", shorten(&w.label_checksum)));
-                    if let Some((pi, pc)) = prev {
-                        if pc != w.label_checksum {
-                            trend = '!';
-                            t.regressions.push(format!(
-                                "{key} label_checksum changed: {pc} ({}) -> {} ({})",
-                                seeds[pi].label, w.label_checksum, seeds[i].label
-                            ));
-                        }
-                    }
-                    prev = Some((i, &w.label_checksum));
-                }
-                None => out.push_str(&format!(" {:>14}", "-")),
-            }
-        }
-        out.push_str(&format!("  {trend}\n"));
-    }
-    if t.regressions.is_empty() {
-        out.push_str("\nregressions: none\n");
-    } else {
-        out.push_str(&format!("\nregressions: {}\n", t.regressions.len()));
-        for r in &t.regressions {
-            out.push_str(&format!("  {r}\n"));
-        }
-    }
-    t.rendered = out;
-    t
-}
-
-/// Shortens a hex checksum to fit a table column (`0xfe8398dba3457c21` →
-/// `0xfe83..7c21`).
-fn shorten(cs: &str) -> String {
-    if cs.len() <= 14 {
-        cs.to_string()
-    } else {
-        let head: String = cs.chars().take(6).collect();
-        let tail_len = cs.chars().count().saturating_sub(4);
-        let tail: String = cs.chars().skip(tail_len).collect();
-        format!("{head}..{tail}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,73 +435,5 @@ mod tests {
         assert!(text.contains("report counters (2 reports):"));
         assert!(text.contains("stream 0"));
         assert!(text.contains("label_checksum=0x0000000000000007"));
-    }
-
-    fn seed(label: &str, dc: u64, checksum: &str) -> BenchSeed {
-        let text = format!(
-            "{{\"schema\":\"sslic-bench-seed-v1\",\
-             \"config\":{{\"algorithm\":\"sslic_ppa\",\"subsets\":2,\
-             \"distance\":\"quantized8\",\"superpixels\":150,\"iterations\":5,\"seed\":2024}},\
-             \"workloads\":[{{\"width\":160,\"height\":120,\
-             \"label_checksum\":\"{checksum}\",\"distance_calcs\":{dc},\
-             \"label_writes\":48000}}]}}"
-        );
-        parse_bench(label, &text).expect("seed parses")
-    }
-
-    #[test]
-    fn bench_parse_keeps_counter_order() {
-        let s = seed("B7", 432000, "0xfe8398dba3457c21");
-        assert_eq!(s.algorithm, "sslic_ppa");
-        assert_eq!(s.workloads.len(), 1);
-        assert_eq!(
-            s.workloads[0].counters,
-            vec![
-                ("distance_calcs".to_string(), 432000),
-                ("label_writes".to_string(), 48000)
-            ]
-        );
-    }
-
-    #[test]
-    fn bench_parse_rejects_wrong_schema() {
-        assert!(parse_bench("x", "{\"schema\":\"nope\"}").is_err());
-    }
-
-    #[test]
-    fn trajectory_flags_counter_regressions_and_checksum_drift() {
-        let clean = bench_trajectory(&[
-            seed("B7", 432000, "0xaa"),
-            seed("B8", 432000, "0xaa"),
-        ]);
-        assert!(clean.regressions.is_empty());
-        assert!(clean.rendered.contains("regressions: none"));
-
-        let worse = bench_trajectory(&[
-            seed("B7", 432000, "0xaa"),
-            seed("B8", 500000, "0xbb"),
-        ]);
-        assert_eq!(worse.regressions.len(), 2);
-        assert!(worse.regressions[0].contains("distance_calcs: 432000 -> 500000"));
-        assert!(worse.regressions[1].contains("label_checksum changed"));
-        assert!(worse.rendered.contains("  ^\n"));
-        assert!(worse.rendered.contains("  !\n"));
-
-        // Improvements are not regressions.
-        let better = bench_trajectory(&[
-            seed("B7", 432000, "0xaa"),
-            seed("B8", 400000, "0xaa"),
-        ]);
-        assert!(better.regressions.is_empty());
-        assert!(better.rendered.contains("  v\n"));
-    }
-
-    #[test]
-    fn trajectory_rendering_is_deterministic() {
-        let seeds = [seed("B7", 1, "0xaa"), seed("B8", 2, "0xbb")];
-        assert_eq!(
-            bench_trajectory(&seeds).rendered,
-            bench_trajectory(&seeds).rendered
-        );
     }
 }

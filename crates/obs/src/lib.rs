@@ -30,8 +30,8 @@
 //! percentile estimation, a Prometheus text-exposition renderer over the
 //! registry, and the serializable [`TelemetrySnapshot`]
 //! (`sslic-telemetry-v1`). [`insight`] reads the artifacts back — JSONL
-//! traces, report lines, bench seeds — and renders span attribution
-//! tables, flamegraph-collapsed stacks, and cross-PR bench trajectories.
+//! traces and report lines — and renders span attribution tables,
+//! per-report rollups, and flamegraph-collapsed stacks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

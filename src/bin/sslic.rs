@@ -106,10 +106,6 @@ fn print_help() {
          \x20     counters/phases, and per-stream fleet rollups. --collapsed\n\
          \x20     writes flamegraph-compatible collapsed stacks.\n\
          \n\
-         \x20 sslic insight bench <BENCH_A.json> <BENCH_B.json>...\n\
-         \x20     Compare bench seeds across PRs: per-workload counter\n\
-         \x20     trajectories with regression flags (exit 1 on regression).\n\
-         \n\
          \x20 sslic dataset <dir> [--count N] [--width W] [--height H] [--seed S]\n\
          \x20     Generate a synthetic evaluation corpus with exact ground truth\n\
          \x20     (NNN.ppm + NNN.gt.pgm pairs).\n\
@@ -439,10 +435,6 @@ fn cmd_framepack(args: &[String]) -> CliResult {
 
 fn cmd_insight(args: &[String]) -> CliResult {
     use sslic::obs::insight::{self, Analyzer};
-
-    if args.first().map(String::as_str) == Some("bench") {
-        return cmd_insight_bench(&args[1..]);
-    }
     let out_path: Option<String> = flag(args, "--out")?;
     let collapsed_path: Option<String> = flag(args, "--collapsed")?;
     let mut inputs: Vec<&String> = Vec::new();
@@ -456,7 +448,7 @@ fn cmd_insight(args: &[String]) -> CliResult {
         }
     }
     if inputs.is_empty() {
-        return Err("insight needs at least one trace/report file (or 'bench <seeds...>')".into());
+        return Err("insight needs at least one trace/report file".into());
     }
     let mut analyzer = Analyzer::new();
     for path in &inputs {
@@ -476,37 +468,6 @@ fn cmd_insight(args: &[String]) -> CliResult {
     if let Some(path) = collapsed_path {
         std::fs::write(&path, insight::render_collapsed(&analysis))?;
         eprintln!("wrote {path} (collapsed stacks; feed to flamegraph.pl)");
-    }
-    Ok(())
-}
-
-fn cmd_insight_bench(args: &[String]) -> CliResult {
-    use sslic::obs::insight::{bench_trajectory, parse_bench};
-
-    let inputs: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if inputs.len() < 2 {
-        return Err("insight bench needs at least two BENCH_*.json seeds to compare".into());
-    }
-    let mut seeds = Vec::new();
-    for path in &inputs {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("insight bench: cannot read {path}: {e}"))?;
-        let label = path
-            .rsplit('/')
-            .next()
-            .unwrap_or(path)
-            .trim_end_matches(".json");
-        seeds.push(parse_bench(label, &text).map_err(|e| format!("{path}: {e}"))?);
-    }
-    let trajectory = bench_trajectory(&seeds);
-    print!("{}", trajectory.rendered);
-    if !trajectory.regressions.is_empty() {
-        return Err(format!(
-            "insight bench: {} regression(s) detected:\n  {}",
-            trajectory.regressions.len(),
-            trajectory.regressions.join("\n  ")
-        )
-        .into());
     }
     Ok(())
 }

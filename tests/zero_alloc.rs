@@ -9,9 +9,14 @@
 //! Worker threads park on a condvar between dispatches and the futex-based
 //! `Mutex`/`Condvar` never allocate on use, so the assertion holds at any
 //! thread count.
+//!
+//! The counter is process-global and libtest runs tests in parallel, so
+//! each test holds [`SERIAL`] for its whole body: another test's
+//! allocations never land inside a measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sslic::core::DistanceMode;
 use sslic::image::synthetic::SyntheticImage;
@@ -47,6 +52,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serializes the tests of this binary around the shared counter.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], recovering it if an earlier test panicked while
+/// holding it (that failure is reported by its own test).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn scenarios() -> Vec<(&'static str, Segmenter)> {
     let p = |threads: usize| {
@@ -95,6 +109,7 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
 
 #[test]
 fn self_healing_frames_stay_allocation_free() {
+    let _serial = serial();
     // The recovery runtime's scratch (checkpoint table, guard state) is
     // part of the session arena, so arming a policy must not change the
     // zero-alloc contract — neither on clean frames nor on frames that
@@ -175,6 +190,7 @@ fn self_healing_frames_stay_allocation_free() {
 
 #[test]
 fn steady_state_frames_never_touch_the_heap() {
+    let _serial = serial();
     // All frames are synthesized before any measurement begins.
     let frames: Vec<SyntheticImage> = (0..3)
         .map(|i| {
@@ -211,6 +227,7 @@ fn steady_state_frames_never_touch_the_heap() {
 
 #[test]
 fn steady_state_fleet_frames_never_touch_the_heap() {
+    let _serial = serial();
     // Two live streams through a two-slot fleet: after each stream's cold
     // frame, the whole path — admission lookup, per-frame tallies, the
     // session run itself — must leave the allocation counter untouched.
