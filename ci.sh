@@ -17,7 +17,7 @@ RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo build --workspace --all-targets -
 echo "==> cargo test (workspace, overflow-checks on)"
 cargo test --workspace -q
 
-echo "==> zero-allocation gate (steady-state session frames must not touch the heap)"
+echo "==> zero-allocation gate (steady-state and cold session frames must not touch the heap)"
 # Runs under a counting global allocator; kept as a named gate so an
 # allocation regression fails CI with this banner even if someone trims
 # the workspace test sweep above.

@@ -121,36 +121,6 @@ impl Lab8Image {
         [self.l[(x, y)], self.a[(x, y)], self.b[(x, y)]]
     }
 
-    /// Decodes the whole image to `f32` CIELAB (inverse of the scratchpad
-    /// encoding, up to quantization).
-    pub fn decode(&self) -> LabImage {
-        let mut out = LabImage::from_fn(self.width(), self.height(), |_, _| [0.0; 3]);
-        self.decode_into(&mut out);
-        out
-    }
-
-    /// Decodes the whole image into a caller-owned `f32` CIELAB image
-    /// (no allocation); per-pixel values are identical to
-    /// [`Lab8Image::decode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` differs in geometry.
-    pub fn decode_into(&self, out: &mut LabImage) {
-        assert!(
-            out.width() == self.width() && out.height() == self.height(),
-            "decode_into requires matching image geometry"
-        );
-        for y in 0..self.height() {
-            for x in 0..self.width() {
-                let [l, a, b] = crate::lab8::decode(self.pixel(x, y));
-                out.l[(x, y)] = l as f32;
-                out.a[(x, y)] = a as f32;
-                out.b[(x, y)] = b as f32;
-            }
-        }
-    }
-
     /// Copies all three channels of `src` into this image in place (no
     /// allocation).
     ///
@@ -178,32 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_matches_decode_bit_for_bit() {
-        let img = Lab8Image::from_fn(5, 4, |x, y| [(x * 37) as u8, (y * 61) as u8, 200]);
-        let fresh = img.decode();
-        let mut reused = LabImage::from_fn(5, 4, |_, _| [9.0; 3]);
-        img.decode_into(&mut reused);
-        assert_eq!(fresh, reused);
-    }
-
-    #[test]
     fn copy_from_replicates_all_channels() {
         let src = Lab8Image::from_fn(3, 3, |x, y| [x as u8, y as u8, 77]);
         let mut dst = Lab8Image::from_fn(3, 3, |_, _| [0; 3]);
         dst.copy_from(&src);
         assert_eq!(dst, src);
-        let labsrc = src.decode();
+        let labsrc = LabImage::from_fn(3, 3, |x, y| [x as f32, y as f32 - 0.5, 77.0]);
         let mut labdst = LabImage::from_fn(3, 3, |_, _| [0.0; 3]);
         labdst.copy_from(&labsrc);
         assert_eq!(labdst, labsrc);
-    }
-
-    #[test]
-    fn lab8_image_round_trips_through_decode() {
-        let img = Lab8Image::from_fn(2, 2, |x, y| [(x * 100) as u8, (y * 100 + 28) as u8, 128]);
-        let dec = img.decode();
-        // b = 128 encodes b* = 0
-        assert_eq!(dec.b[(0, 0)], 0.0);
-        assert_eq!(dec.width(), 2);
     }
 }

@@ -57,6 +57,12 @@ mod tests {
     }
 
     #[test]
+    fn codes_decode_to_their_channel_values() {
+        assert_eq!(decode([0, 128, 128]), [0.0, 0.0, 0.0]);
+        assert_eq!(decode([255, 0, 255]), [100.0, -128.0, 127.0]);
+    }
+
+    #[test]
     fn extremes_saturate() {
         assert_eq!(encode([150.0, 300.0, -300.0]), [255, 255, 0]);
         assert_eq!(encode([-10.0, -300.0, 300.0]), [0, 0, 255]);

@@ -94,8 +94,9 @@ pub trait StepFaults {
 
     /// Called once, before the first iteration, with the quantized pixel
     /// features (the accelerator's channel-memory contents). Only invoked
-    /// when the pixel features exist, i.e. in quantized distance mode or
-    /// when the input is a [`SegmentRequest::Lab8`].
+    /// in quantized distance mode, where those codes are the session's
+    /// image; a float session holds f32 planes and never calls it, even
+    /// for a [`SegmentRequest::Lab8`] input.
     fn corrupt_lab8(&self, _lab8: &mut Lab8Image) {}
 
     /// Called after the center update of step `step` with the engine's
@@ -122,11 +123,11 @@ pub enum SegmentRequest<'a> {
     /// sees the representation the accelerator's channel memories hold.
     Lab(&'a LabImage),
     /// A pre-encoded 8-bit CIELAB image — exactly the accelerator's
-    /// channel-memory contents. The float working image is decoded from
-    /// the supplied codes, so assignment and sigma accumulation see this
-    /// data bit for bit; in quantized mode the codes also feed the
-    /// distance datapath directly. This is the entry point for externally
-    /// converted (or externally corrupted) pixel features.
+    /// channel-memory contents. In quantized mode the supplied codes become
+    /// the session's image, read directly by seeding, assignment, and sigma
+    /// accumulation; a float session decodes them into its f32 planes.
+    /// This is the entry point for externally converted (or externally
+    /// corrupted) pixel features.
     Lab8(&'a Lab8Image),
 }
 
@@ -1047,6 +1048,29 @@ mod tests {
         let lab8 = HwColorConverter::paper_default().convert_image(&img.rgb);
         let via_lab8 = seg.run(SegmentRequest::Lab8(&lab8), &RunOptions::new());
         assert_eq!(via_rgb.labels(), via_lab8.labels());
+    }
+
+    #[test]
+    fn lab8_request_matches_decoded_lab_in_float_mode() {
+        let img = test_image();
+        let codes = HwColorConverter::paper_default().convert_image(&img.rgb);
+        let decoded = LabImage::from_fn(64, 48, |x, y| {
+            let [l, a, b] = sslic_color::lab8::decode(codes.pixel(x, y));
+            [l as f32, a as f32, b as f32]
+        });
+        for seg in [
+            Segmenter::slic(params(60, 3)),
+            Segmenter::sslic_ppa(params(60, 4), 2),
+        ] {
+            let mut session = seg.session(64, 48);
+            let mut via_lab = Plane::filled(64, 48, 0u32);
+            let mut via_lab8 = Plane::filled(64, 48, 0u32);
+            session.run_into(SegmentRequest::Lab(&decoded), &RunOptions::new(), &mut via_lab);
+            let lab_centers = session.clusters().to_vec();
+            session.run_into(SegmentRequest::Lab8(&codes), &RunOptions::new(), &mut via_lab8);
+            assert_eq!(via_lab, via_lab8, "{} labels", seg.algorithm().name());
+            assert_eq!(lab_centers, session.clusters(), "{} centers", seg.algorithm().name());
+        }
     }
 
     #[test]

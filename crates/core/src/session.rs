@@ -2,14 +2,15 @@
 //! zero-allocation steady-state execution engine.
 //!
 //! A [`SegmenterSession`] is created once from a [`Segmenter`] and a frame
-//! geometry. It owns every piece of per-frame working memory — the CIELAB
-//! feature planes, the label plane, the distance buffer, per-band sigma
-//! register files, the connectivity flood-fill queues, the cluster slots —
-//! plus a persistent [`BandPool`] of parked workers. Each
+//! geometry. It owns every piece of per-frame working memory — the one
+//! pixel image its datapath reads (f32 CIELAB planes, or the accelerator's
+//! 8-bit codes in quantized mode), the label plane, the distance buffer,
+//! per-band sigma register files, the connectivity flood-fill queues, the
+//! cluster slots — plus a persistent [`BandPool`] of parked workers. Each
 //! [`SegmenterSession::run_into`] call segments one frame by *reusing* that
-//! memory: after the first (cold) frame, a steady-state frame performs zero
-//! heap allocations at any thread count (pinned by `tests/zero_alloc.rs` at
-//! the workspace root).
+//! memory: after the first frame, every frame — warm-started or seeded
+//! cold — performs zero heap allocations at any thread count (pinned by
+//! `tests/zero_alloc.rs` at the workspace root).
 //!
 //! The one-shot [`Segmenter::run`] is itself a thin wrapper that builds a
 //! transient session and runs a single frame through it, so session output
@@ -28,7 +29,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use sslic_color::{float, hw::HwColorConverter, Lab8Image, LabImage};
+use sslic_color::{float, hw::HwColorConverter, lab8, Lab8Image, LabImage};
 use sslic_image::Plane;
 use sslic_obs::{LogicalClock, Recorder, Value};
 
@@ -175,8 +176,8 @@ impl FrameReport {
     }
 
     /// Scratch buffers logically established during this frame. The full
-    /// inventory on the session's first frame; **zero** on every
-    /// steady-state frame — the streaming contract.
+    /// inventory on the session's first frame; **zero** on every later
+    /// frame, warm or cold — the streaming contract.
     pub fn scratch_allocs(&self) -> u64 {
         self.scratch_allocs
     }
@@ -203,6 +204,38 @@ impl FrameReport {
     }
 }
 
+/// The session's one pixel image, in its datapath's representation: f32
+/// CIELAB planes for float sessions, the accelerator's 8-bit channel codes
+/// for quantized ones (which the assign kernels read directly).
+#[derive(Clone)]
+enum Pixels {
+    Float(LabImage),
+    Codes(Lab8Image),
+}
+
+impl Pixels {
+    /// The `[L, a, b]` triple at `(x, y)`. Codes decode on the fly, which
+    /// is what the Center Update Unit and seeding read in quantized mode.
+    #[inline]
+    fn pixel(&self, x: usize, y: usize) -> [f32; 3] {
+        match self {
+            Pixels::Float(lab) => lab.pixel(x, y),
+            Pixels::Codes(codes) => {
+                let [l, a, b] = lab8::decode(codes.pixel(x, y));
+                [l as f32, a as f32, b as f32]
+            }
+        }
+    }
+
+    /// The 8-bit codes of a quantized session; `None` in float mode.
+    fn codes(&self) -> Option<&Lab8Image> {
+        match self {
+            Pixels::Codes(codes) => Some(codes),
+            Pixels::Float(_) => None,
+        }
+    }
+}
+
 /// Everything a band worker needs to execute one dispatch, shared by `Arc`:
 /// cloning a `FrameCtx` bumps reference counts and copies plain scalars —
 /// it never touches the heap. Workers drop their clone before signaling
@@ -210,10 +243,7 @@ impl FrameReport {
 #[derive(Clone)]
 struct FrameCtx {
     grid: SeedGrid,
-    lab: Arc<LabImage>,
-    /// `Some` only in quantized distance mode (mirrors the one-shot
-    /// engine's `(kernel, lab8)` pairing).
-    lab8: Option<Arc<Lab8Image>>,
+    image: Arc<Pixels>,
     labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
@@ -255,12 +285,11 @@ struct BandSlot {
     counters: RunCounters,
 }
 
-/// Borrowed distance-datapath view over a [`FrameCtx`] — the exact logic
-/// of the one-shot engine's `distance`/`dc2_ds2`, shared by the banded
-/// kernels and the serial CPA scan.
+/// Borrowed distance-datapath view over a [`FrameCtx`]: one definition of
+/// `distance`/`dc2_ds2` shared by the banded kernels and the serial CPA
+/// scan, so PPA and CPA algorithms evaluate the same metric.
 struct DistCtx<'a> {
-    lab: &'a LabImage,
-    lab8: Option<&'a Lab8Image>,
+    image: &'a Pixels,
     clusters: &'a [Cluster],
     codes: &'a [ClusterCodes],
     kernel: Option<&'a QuantKernel>,
@@ -272,8 +301,7 @@ struct DistCtx<'a> {
 impl<'a> DistCtx<'a> {
     fn of(ctx: &'a FrameCtx) -> Self {
         DistCtx {
-            lab: &ctx.lab,
-            lab8: ctx.lab8.as_deref(),
+            image: &ctx.image,
             clusters: &ctx.clusters,
             codes: &ctx.codes,
             kernel: ctx.kernel.as_ref(),
@@ -294,13 +322,13 @@ impl<'a> DistCtx<'a> {
             let (dc2, ds2) = self.dc2_ds2(x, y, k);
             return dc2 / max_dc2[k] + ds2 * self.inv_s2;
         }
-        match (self.kernel, self.lab8) {
-            (Some(kernel), Some(lab8)) => {
-                let px = lab8.pixel(x, y);
+        match (self.kernel, self.image.codes()) {
+            (Some(kernel), Some(codes)) => {
+                let px = codes.pixel(x, y);
                 kernel.dist_code(px, (x as i32, y as i32), &self.codes[k]) as f32
             }
             _ => dist2_float(
-                self.lab.pixel(x, y),
+                self.image.pixel(x, y),
                 (x as f32, y as f32),
                 &self.clusters[k],
                 self.m2_over_s2,
@@ -311,7 +339,7 @@ impl<'a> DistCtx<'a> {
     /// Squared color and spatial distances separately (float path).
     #[inline]
     fn dc2_ds2(&self, x: usize, y: usize, k: usize) -> (f32, f32) {
-        let [l, a, b] = self.lab.pixel(x, y);
+        let [l, a, b] = self.image.pixel(x, y);
         let c = &self.clusters[k];
         let (dl, da, db) = (l - c.l, a - c.a, b - c.b);
         let (dx, dy) = (x as f32 - c.x, y as f32 - c.y);
@@ -339,8 +367,8 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
 /// and private counters/maxima into its slot. Skipped pixels (subset
 /// mismatch, all-frozen neighborhoods) keep the stripe's previous value,
 /// which the session keeps synchronized with the central label plane — so
-/// the stripe write-back is identical to the one-shot engine's in-place
-/// label writes.
+/// writing whole stripes back leaves a skipped pixel's label unchanged, as
+/// an in-place label write would.
 fn assign_band(
     ctx: &FrameCtx,
     subset: Option<u32>,
@@ -350,7 +378,7 @@ fn assign_band(
 ) {
     let w = ctx.grid.width();
     slot.new_max.fill(0.0);
-    if let (Some(swar), Some(lab8)) = (ctx.swar.as_deref(), ctx.lab8.as_deref()) {
+    if let (Some(swar), Some(codes)) = (ctx.swar.as_deref(), ctx.image.codes()) {
         // The SWAR fixed-point kernel: bit-identical labels (the lane
         // scan replays every scalar comparison — see `crate::kernel`),
         // identical counters, identical stripe semantics for skipped
@@ -363,7 +391,7 @@ fn assign_band(
         };
         let assigned = swar.assign_rows(
             &ctx.grid,
-            lab8,
+            codes,
             &ctx.codes,
             &ctx.active,
             part,
@@ -448,7 +476,7 @@ fn update_band(
                     continue;
                 }
             }
-            let [l, a, b] = ctx.lab.pixel(x, y);
+            let [l, a, b] = ctx.image.pixel(x, y);
             let acc = &mut slot.sigma[k];
             acc[0] += l as f64;
             acc[1] += a as f64;
@@ -513,9 +541,10 @@ struct AttemptOutcome {
 /// configuration bound to one frame geometry, owning all per-frame working
 /// memory and a parked worker pool.
 ///
-/// After the first (cold) frame, segmenting a steady-state frame performs
-/// **zero heap allocations** at any thread count, and the output is
-/// bit-identical to running [`Segmenter::run`] on the same inputs.
+/// After the first frame, segmenting a frame — warm-started or seeded
+/// cold — performs **zero heap allocations** at any thread count, and the
+/// output is bit-identical to running [`Segmenter::run`] on the same
+/// inputs.
 ///
 /// # Example
 ///
@@ -538,9 +567,7 @@ struct AttemptOutcome {
 pub struct SegmenterSession {
     config: Segmenter,
     grid: SeedGrid,
-    quantized: bool,
-    lab: Arc<LabImage>,
-    lab8: Arc<Lab8Image>,
+    image: Arc<Pixels>,
     labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
@@ -656,10 +683,13 @@ impl SegmenterSession {
         let mut ledger = AllocLedger::new();
         let cluster_bytes = std::mem::size_of::<Cluster>() as u64;
         let code_bytes = std::mem::size_of::<ClusterCodes>() as u64;
-        ledger.record(pixels * 12); // f32 CIELAB feature planes
-        let lab = Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3]));
-        ledger.record(pixels * 3); // 8-bit CIELAB code planes
-        let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
+        let image = Arc::new(if quantized {
+            ledger.record(pixels * 3); // 8-bit CIELAB code planes
+            Pixels::Codes(Lab8Image::from_fn(width, height, |_, _| [0; 3]))
+        } else {
+            ledger.record(pixels * 12); // f32 CIELAB feature planes
+            Pixels::Float(LabImage::from_fn(width, height, |_, _| [0.0; 3]))
+        });
         ledger.record(pixels * 4); // working label plane
         let labels = Arc::new(Plane::filled(width, height, 0u32));
         ledger.record(pixels * 4); // finished output plane
@@ -722,9 +752,7 @@ impl SegmenterSession {
         Ok(SegmenterSession {
             config,
             grid,
-            quantized,
-            lab,
-            lab8,
+            image,
             labels,
             clusters,
             codes,
@@ -1195,32 +1223,30 @@ impl SegmenterSession {
         let recorder = options.recorder;
 
         breakdown.time(Phase::Init, || {
-            match init {
-                AttemptInit::AsRequested => match options.warm_start {
-                    Some(warm) => {
-                        let clusters = Arc::make_mut(&mut self.clusters);
-                        clusters.clear();
-                        clusters.extend_from_slice(warm);
-                    }
-                    None if cold => {
-                        let fresh = init_clusters(&self.lab, &self.grid, params.perturb_seeds());
-                        let clusters = Arc::make_mut(&mut self.clusters);
-                        clusters.clear();
-                        clusters.extend_from_slice(&fresh);
-                    }
-                    None => {} // Auto steady state: centers stay in place.
-                },
-                AttemptInit::Rollback => {
+            match (init, options.warm_start) {
+                (AttemptInit::AsRequested, Some(warm)) => {
+                    let clusters = Arc::make_mut(&mut self.clusters);
+                    clusters.clear();
+                    clusters.extend_from_slice(warm);
+                }
+                // Auto steady state: centers stay in place.
+                (AttemptInit::AsRequested, None) if !cold => {}
+                (AttemptInit::Rollback, _) => {
                     // Restore the last-known-good center table written at
                     // this frame's attempt-0 sync point. Same-length copy:
                     // no allocation on the retry path.
                     Arc::make_mut(&mut self.clusters).copy_from_slice(&self.checkpoint);
                 }
-                AttemptInit::Cold => {
-                    let fresh = init_clusters(&self.lab, &self.grid, params.perturb_seeds());
-                    let clusters = Arc::make_mut(&mut self.clusters);
-                    clusters.clear();
-                    clusters.extend_from_slice(&fresh);
+                // Cold seeding reads the session's image in place and
+                // refills the cluster table within its capacity.
+                (AttemptInit::AsRequested, None) | (AttemptInit::Cold, _) => {
+                    let image = &self.image;
+                    init_clusters(
+                        |x, y| image.pixel(x, y),
+                        &self.grid,
+                        params.perturb_seeds(),
+                        Arc::make_mut(&mut self.clusters),
+                    );
                 }
             }
             let labels = Arc::make_mut(&mut self.labels);
@@ -1230,8 +1256,8 @@ impl SegmenterSession {
                 }
             }
             // PPA algorithms: re-sync every band's stripe with the central
-            // labels so skipped pixels keep their previous assignment,
-            // exactly like the one-shot engine's in-place label writes.
+            // labels so pixels an assign pass skips keep their previous
+            // assignment when the stripes are written back.
             for b in 0..self.pool.band_count() {
                 let rows = self.pool.bands()[b].clone();
                 let mut slot = self.pool.slot(b);
@@ -1415,9 +1441,10 @@ impl SegmenterSession {
         }
     }
 
-    /// Converts the request's pixels into the session's reusable feature
-    /// planes, applying pixel-feature fault hooks exactly where the
-    /// one-shot engine did.
+    /// Lands the request's pixels in the session's one image, in its
+    /// datapath's representation. Quantized sessions hold the codes the
+    /// accelerator's channel memories hold, so the pixel-feature fault hook
+    /// corrupts them before anything reads them.
     fn convert_into(
         &mut self,
         request: SegmentRequest<'_>,
@@ -1425,64 +1452,53 @@ impl SegmenterSession {
         breakdown: &mut PhaseBreakdown,
     ) {
         let (w, h) = (self.grid.width(), self.grid.height());
-        match request {
-            SegmentRequest::Rgb(img) => {
-                if self.quantized {
-                    // The accelerator's LUT path produces the 8-bit image
-                    // the quantized datapath operates on; the f32 image is
-                    // derived from it so assignment and sigma see the same
-                    // data.
-                    let lab8 = Arc::make_mut(&mut self.lab8);
-                    if let Some(conv) = &self.converter {
-                        breakdown.time(Phase::ColorConversion, || {
-                            conv.convert_image_into(img, lab8);
-                        });
+        match Arc::make_mut(&mut self.image) {
+            Pixels::Codes(codes) => {
+                match request {
+                    SegmentRequest::Rgb(img) => {
+                        if let Some(conv) = &self.converter {
+                            breakdown.time(Phase::ColorConversion, || {
+                                conv.convert_image_into(img, codes);
+                            });
+                        }
                     }
-                    if let Some(f) = faults {
-                        f.corrupt_lab8(lab8);
-                    }
-                    lab8.decode_into(Arc::make_mut(&mut self.lab));
-                } else {
-                    let lab = Arc::make_mut(&mut self.lab);
-                    breakdown.time(Phase::ColorConversion, || {
-                        float::convert_image_into(img, lab);
-                    });
-                }
-            }
-            SegmentRequest::Lab(src) => {
-                if self.quantized {
-                    let lab8 = Arc::make_mut(&mut self.lab8);
-                    breakdown.time(Phase::ColorConversion, || {
+                    SegmentRequest::Lab(src) => breakdown.time(Phase::ColorConversion, || {
                         for y in 0..h {
                             for x in 0..w {
                                 let [l, a, b] = src.pixel(x, y);
-                                let code =
-                                    sslic_color::lab8::encode([l as f64, a as f64, b as f64]);
-                                lab8.l[(x, y)] = code[0];
-                                lab8.a[(x, y)] = code[1];
-                                lab8.b[(x, y)] = code[2];
+                                let code = lab8::encode([l as f64, a as f64, b as f64]);
+                                codes.l[(x, y)] = code[0];
+                                codes.a[(x, y)] = code[1];
+                                codes.b[(x, y)] = code[2];
                             }
                         }
-                    });
-                    if let Some(f) = faults {
-                        f.corrupt_lab8(lab8);
-                    }
-                    lab8.decode_into(Arc::make_mut(&mut self.lab));
-                } else {
-                    Arc::make_mut(&mut self.lab).copy_from(src);
+                    }),
+                    // Conversion happened outside the engine: charged zero
+                    // time.
+                    SegmentRequest::Lab8(src) => codes.copy_from(src),
                 }
-            }
-            SegmentRequest::Lab8(src) => {
-                // Conversion happened outside the engine: charged zero
-                // time. The hooks corrupt the codes before anything reads
-                // them.
-                let lab8 = Arc::make_mut(&mut self.lab8);
-                lab8.copy_from(src);
                 if let Some(f) = faults {
-                    f.corrupt_lab8(lab8);
+                    f.corrupt_lab8(codes);
                 }
-                lab8.decode_into(Arc::make_mut(&mut self.lab));
             }
+            Pixels::Float(lab) => match request {
+                SegmentRequest::Rgb(img) => breakdown.time(Phase::ColorConversion, || {
+                    float::convert_image_into(img, lab);
+                }),
+                SegmentRequest::Lab(src) => lab.copy_from(src),
+                // Pre-encoded codes decode straight into the float planes
+                // (conversion happened outside the engine: zero time).
+                SegmentRequest::Lab8(src) => {
+                    for y in 0..h {
+                        for x in 0..w {
+                            let [l, a, b] = lab8::decode(src.pixel(x, y));
+                            lab.l[(x, y)] = l as f32;
+                            lab.a[(x, y)] = a as f32;
+                            lab.b[(x, y)] = b as f32;
+                        }
+                    }
+                }
+            },
         }
     }
 
@@ -1491,8 +1507,7 @@ impl SegmenterSession {
     fn frame_ctx(&self) -> FrameCtx {
         FrameCtx {
             grid: self.grid.clone(),
-            lab: Arc::clone(&self.lab),
-            lab8: self.quantized.then(|| Arc::clone(&self.lab8)),
+            image: Arc::clone(&self.image),
             labels: Arc::clone(&self.labels),
             clusters: Arc::clone(&self.clusters),
             codes: Arc::clone(&self.codes),
@@ -1519,8 +1534,10 @@ impl SegmenterSession {
         }
     }
 
-    /// Repairs corrupted center registers in place; see the one-shot
-    /// engine's invariant-guard documentation. Returns clusters changed.
+    /// Invariant guard: repairs corrupted center registers in place —
+    /// non-finite fields fall back to the seed position or neutral color,
+    /// then every field is clamped into the image box and the CIELAB
+    /// range. Returns clusters changed.
     fn repair_centers(&mut self) -> u64 {
         let (w, h) = (self.grid.width(), self.grid.height());
         let (xmax, ymax) = ((w - 1) as f32, (h - 1) as f32);
@@ -1639,8 +1656,7 @@ impl SegmenterSession {
         let labels = Arc::make_mut(&mut self.labels);
         let dist_buffer = &mut self.dist;
         let dctx = DistCtx {
-            lab: &self.lab,
-            lab8: self.quantized.then_some(&*self.lab8),
+            image: &self.image,
             clusters: &self.clusters,
             codes: &self.codes,
             kernel: self.kernel.as_ref(),

@@ -1,11 +1,16 @@
-//! The streaming contract, pinned at the real allocator: a steady-state
-//! [`SegmenterSession`](sslic::prelude::SegmenterSession) frame performs
-//! **zero** heap allocations, for every algorithm, at one and at several
-//! threads.
+//! The streaming contract, pinned at the real allocator: after a session's
+//! first frame, every [`SegmenterSession`](sslic::prelude::SegmenterSession)
+//! frame — steady-state (warm-started) and cold (re-seeded from the grid)
+//! alike — performs **zero** heap allocations, for every algorithm, at one
+//! and at several threads.
 //!
 //! The binary installs a counting wrapper around the system allocator;
-//! frame 0 of each session is allowed to allocate (cold seeding computes
-//! the initial centers), frames 1 and 2 must leave the counter untouched.
+//! frame 0 of each session is allowed to allocate (it establishes the
+//! scratch inventory), frames 1 and 2 must leave the counter untouched.
+//! Cold seeding reads the session's image in place and refills the
+//! cluster table within its capacity, so it is covered too: through
+//! `run_into` (every frame cold) and through a fleet slot rebound to a new
+//! stream.
 //! Worker threads park on a condvar between dispatches and the futex-based
 //! `Mutex`/`Condvar` never allocate on use, so the assertion holds at any
 //! thread count.
@@ -20,6 +25,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sslic::core::DistanceMode;
 use sslic::image::synthetic::SyntheticImage;
+use sslic::image::Plane;
 use sslic::prelude::*;
 
 /// Counts every allocation and reallocation routed through the global
@@ -282,5 +288,67 @@ fn steady_state_fleet_frames_never_touch_the_heap() {
             .expect("warm batch");
         let delta = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(delta, 0, "x{threads}: steady batch performed {delta} heap allocations");
+    }
+}
+
+#[test]
+fn cold_frames_never_touch_the_heap() {
+    let _serial = serial();
+    let frames: Vec<SyntheticImage> = (0..3)
+        .map(|i| {
+            SyntheticImage::builder(64, 48)
+                .seed(970 + i)
+                .regions(5)
+                .build()
+        })
+        .collect();
+    // `run_into` without a warm start seeds every frame cold from the grid.
+    for (name, seg) in scenarios() {
+        let threads = seg.params().threads().get();
+        let mut session = seg.session(64, 48);
+        let mut out = Plane::filled(64, 48, 0u32);
+        session.run_into(SegmentRequest::Rgb(&frames[0].rgb), &RunOptions::new(), &mut out);
+        for (i, img) in frames[1..].iter().enumerate() {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            let report = session.run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), &mut out);
+            let delta = ALLOCS.load(Ordering::SeqCst) - before;
+            assert_eq!(
+                delta,
+                0,
+                "{name} x{threads}: cold frame {} performed {delta} heap allocations",
+                i + 1
+            );
+            assert_eq!(report.scratch_allocs(), 0, "{name} x{threads}: ledger agrees");
+            assert_eq!(report.status(), SegmentationStatus::Ok);
+        }
+    }
+    // A fleet slot freed by `close` and rebound to a new stream re-seeds
+    // cold for the newcomer, on the scratch the slot already owns.
+    for threads in [1usize, 4] {
+        let params = SlicParams::builder(60)
+            .iterations(5)
+            .threads(threads)
+            .build();
+        for seg in [
+            Segmenter::sslic_ppa(params, 2),
+            Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8)),
+        ] {
+            let cfg = FleetConfig::builder().with_slots(1).build();
+            let mut fleet = SessionFleet::new(&seg, 64, 48, cfg);
+            let (a, b) = (StreamId(0), StreamId(1));
+            fleet.run(a, SegmentRequest::Rgb(&frames[0].rgb), &RunOptions::new());
+            fleet.run(a, SegmentRequest::Rgb(&frames[1].rgb), &RunOptions::new());
+            assert!(fleet.close(a));
+            let before = ALLOCS.load(Ordering::SeqCst);
+            let report = fleet.run(b, SegmentRequest::Rgb(&frames[2].rgb), &RunOptions::new());
+            let delta = ALLOCS.load(Ordering::SeqCst) - before;
+            assert_eq!(
+                delta,
+                0,
+                "{:?} x{threads}: rebound slot's cold frame performed {delta} heap allocations",
+                seg.distance_mode()
+            );
+            assert_eq!(report.scratch_allocs(), 0, "x{threads}: ledger agrees");
+        }
     }
 }
