@@ -17,6 +17,12 @@ RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo build --workspace --all-targets -
 echo "==> cargo test (workspace, overflow-checks on)"
 cargo test --workspace -q
 
+echo "==> color table exactness (the RGB->Lab8 tables must equal the f64 reference on all 2^24 inputs)"
+# Four precisions: the paper's 12-bit unit, 7/9/3/6, the 8-bit ablation
+# and 16/16/16/16. Too slow for a debug build, so it is an ignored test
+# run here in release.
+cargo test --release -p sslic-color -- --ignored
+
 echo "==> zero-allocation gate (steady-state and cold session frames must not touch the heap)"
 # Runs under a counting global allocator; kept as a named gate so an
 # allocation regression fails CI with this banner even if someone trims

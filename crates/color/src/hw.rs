@@ -11,6 +11,13 @@
 //! * the 3×3 matrix of Eq. 2 is evaluated in fixed point with the
 //!   reference-white division folded into the coefficients.
 //!
+//! The cube-root stage sees only the clamped integer matrix output
+//! `scaled ∈ [0, 2^gamma_frac_bits]`, so [`HwColorConverter::new`] runs
+//! the PWL once per possible input and keeps the results as integer
+//! tables, together with the 8-bit encode of L, a and b. Per pixel the
+//! datapath is then integer only: three gamma-LUT reads, the fixed-point
+//! matrix, and table reads.
+//!
 //! The datapath width at each stage is configurable through
 //! [`HwColorConfig`] so the bit-width exploration of §6.1 can sweep it.
 
@@ -65,7 +72,16 @@ pub struct HwColorConverter {
     gamma: Lut256,
     /// Matrix coefficients with `1/white` folded in, at `matrix_frac_bits`.
     matrix: [[i64; 3]; 3],
-    pwl: PwlLut,
+    /// Companded value `k = round(f·2^pwl_frac_bits)` per matrix output.
+    k: Vec<i32>,
+    /// L code per Y matrix output.
+    l: Vec<u8>,
+    /// a code per `k_X − k_Y + k_span`.
+    a: Vec<u8>,
+    /// b code per `k_Y − k_Z + k_span`.
+    b: Vec<u8>,
+    /// Largest difference between two entries of `k`.
+    k_span: i32,
     config: HwColorConfig,
 }
 
@@ -80,13 +96,17 @@ impl HwColorConverter {
     ///
     /// # Panics
     ///
-    /// Panics if `pwl_segments == 0` or any bit width exceeds 24.
+    /// Panics if `pwl_segments == 0`, if `gamma_frac_bits` or
+    /// `pwl_frac_bits` exceeds 16 (each indexes a table of about
+    /// `2^bits` entries), or if `matrix_frac_bits` exceeds 24.
     pub fn new(config: HwColorConfig) -> Self {
         assert!(config.pwl_segments > 0, "at least one PWL segment");
         assert!(
-            config.gamma_frac_bits <= 24
-                && config.matrix_frac_bits <= 24
-                && config.pwl_frac_bits <= 24,
+            config.gamma_frac_bits <= 16 && config.pwl_frac_bits <= 16,
+            "gamma and PWL widths above 16 bits would need 2^17-entry tables"
+        );
+        assert!(
+            config.matrix_frac_bits <= 24,
             "bit widths above 24 are not hardware-plausible here"
         );
         let gscale = (1i64 << config.gamma_frac_bits) as f64;
@@ -101,11 +121,45 @@ impl HwColorConverter {
                 *m = (RGB_TO_XYZ[r][c] / REFERENCE_WHITE[r] * mscale).round() as i64;
             }
         }
+        // Stage 3 for every matrix output: the PWL cube root (or the exact
+        // linear branch), rounded to the PWL output precision. Since
+        // `pscale` is a power of two, `f = k / pscale` exactly, and so is
+        // every difference of two `f`; stage 4 is a function of `k_Y` and
+        // of the two differences.
         let pwl = PwlLut::from_fn_geometric(config.pwl_segments, LAB_EPSILON, 1.0, |t| t.cbrt());
+        let pscale = (1i64 << config.pwl_frac_bits) as f64;
+        let gmax = 1i64 << config.gamma_frac_bits;
+        let k: Vec<i32> = (0..=gmax)
+            .map(|scaled| {
+                let t = scaled as f64 / gscale;
+                let v = if t > LAB_EPSILON {
+                    pwl.eval(t)
+                } else {
+                    (LAB_KAPPA * t + 16.0) / 116.0
+                };
+                (v * pscale).round() as i32
+            })
+            .collect();
+        let l = k
+            .iter()
+            .map(|&ky| lab8::encode([116.0 * (ky as f64 / pscale) - 16.0, 0.0, 0.0])[0])
+            .collect();
+        let k_span = k.iter().max().unwrap_or(&0) - k.iter().min().unwrap_or(&0);
+        let (a, b) = (-k_span..=k_span)
+            .map(|d| {
+                let df = d as f64 / pscale;
+                let [_, a, b] = lab8::encode([0.0, 500.0 * df, 200.0 * df]);
+                (a, b)
+            })
+            .unzip();
         HwColorConverter {
             gamma,
             matrix,
-            pwl,
+            k,
+            l,
+            a,
+            b,
+            k_span,
             config,
         }
     }
@@ -133,41 +187,40 @@ impl HwColorConverter {
     /// Converts one 8-bit sRGB pixel to encoded 8-bit CIELAB
     /// (see [`crate::lab8`]).
     pub fn convert(&self, px: Rgb) -> [u8; 3] {
-        // Stage 1: gamma LUT (three ROM reads).
-        let lin = [
-            self.gamma.lookup(px.r) as i64,
-            self.gamma.lookup(px.g) as i64,
-            self.gamma.lookup(px.b) as i64,
-        ];
-        // Stage 2: fixed-point matrix with folded white division. The
-        // product has gamma_frac + matrix_frac fraction bits; shift back to
-        // gamma_frac with rounding.
+        self.datapath()(px)
+    }
+
+    /// The per-pixel datapath over the converter's current tables. The
+    /// closure owns copies of the table slices and constants, so an image
+    /// loop keeps them in registers instead of re-reading `self` after
+    /// every output store.
+    #[inline]
+    fn datapath(&self) -> impl Fn(Rgb) -> [u8; 3] + '_ {
+        let (gamma, matrix) = (self.gamma.as_table(), self.matrix);
+        let (k, l, a, b) = (&self.k[..], &self.l[..], &self.a[..], &self.b[..]);
+        let k_span = self.k_span;
         let shift = self.config.matrix_frac_bits as u32;
-        let half = 1i64 << (shift - 1).min(62);
+        let half = (1i64 << shift) >> 1;
         let gmax = 1i64 << self.config.gamma_frac_bits;
-        let mut t = [0f64; 3];
-        for (row, tr) in t.iter_mut().enumerate() {
-            let acc: i64 = (0..3).map(|c| self.matrix[row][c] * lin[c]).sum();
-            let scaled = ((acc + half) >> shift).clamp(0, gmax);
-            *tr = scaled as f64 / gmax as f64;
+        move |px| {
+            // Stage 1: gamma LUT (three ROM reads).
+            let lin = [px.r, px.g, px.b].map(|c| gamma[c as usize] as i64);
+            // Stage 2: fixed-point matrix with folded white division. The
+            // product has gamma_frac + matrix_frac fraction bits; shift
+            // back to gamma_frac with rounding.
+            let [sx, sy, sz] = matrix.map(|row| {
+                let acc = row[0] * lin[0] + row[1] * lin[1] + row[2] * lin[2];
+                ((acc + half) >> shift).clamp(0, gmax) as usize
+            });
+            // Stage 3: companding, one table read per channel.
+            let [kx, ky, kz] = [sx, sy, sz].map(|s| k[s]);
+            // Stage 4: the three linear combinations and the 8-bit encode.
+            [
+                l[sy],
+                a[(kx - ky + k_span) as usize],
+                b[(ky - kz + k_span) as usize],
+            ]
         }
-        // Stage 3: companding via PWL (or the exact linear branch), rounded
-        // to the PWL output precision.
-        let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
-        let f = t.map(|ti| {
-            let v = if ti > LAB_EPSILON {
-                self.pwl.eval(ti)
-            } else {
-                (LAB_KAPPA * ti + 16.0) / 116.0
-            };
-            (v * pscale).round() / pscale
-        });
-        // Stage 4: the three linear combinations and the 8-bit encode.
-        lab8::encode([
-            116.0 * f[1] - 16.0,
-            500.0 * (f[0] - f[1]),
-            200.0 * (f[1] - f[2]),
-        ])
     }
 
     /// Converts a whole image into the scratchpad's planar 8-bit CIELAB
@@ -180,17 +233,9 @@ impl HwColorConverter {
     }
 
     /// Converts a whole image into a caller-owned planar 8-bit CIELAB
-    /// image (no allocation); per-pixel codes are identical to
-    /// [`HwColorConverter::convert_image`]. This is the streaming-session
-    /// entry point: the session reuses one `Lab8Image` across frames.
-    ///
-    /// Pixels move through the datapath in groups of four, stage-major —
-    /// every pixel of a group finishes the gamma LUT before any enters
-    /// the matrix, mirroring the accelerator's four-lane conversion unit
-    /// and letting the compiler keep each stage's tables/coefficients
-    /// hot. The per-pixel arithmetic inside each stage is exactly
-    /// [`HwColorConverter::convert`]'s, so the output codes are
-    /// bit-identical to the one-pixel path (pinned by test).
+    /// image (no allocation); per-pixel codes are [`Self::convert`]'s.
+    /// This is the streaming-session entry point: the session reuses one
+    /// `Lab8Image` across frames.
     ///
     /// # Panics
     ///
@@ -200,62 +245,10 @@ impl HwColorConverter {
             out.width() == img.width() && out.height() == img.height(),
             "convert_image_into requires matching image geometry"
         );
-        let shift = self.config.matrix_frac_bits as u32;
-        let half = 1i64 << (shift - 1).min(62);
-        let gmax = 1i64 << self.config.gamma_frac_bits;
-        let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
-        for y in 0..img.height() {
-            let mut x = 0;
-            while x < img.width() {
-                let n = (img.width() - x).min(4);
-                // Stage 1: gamma LUT — 3 ROM reads per lane.
-                let mut lin = [[0i64; 3]; 4];
-                for (j, l) in lin[..n].iter_mut().enumerate() {
-                    let px = img.pixel(x + j, y);
-                    *l = [
-                        self.gamma.lookup(px.r) as i64,
-                        self.gamma.lookup(px.g) as i64,
-                        self.gamma.lookup(px.b) as i64,
-                    ];
-                }
-                // Stage 2: fixed-point matrix with folded white division,
-                // shifted back to gamma_frac with rounding (per lane, same
-                // expression as `convert`).
-                let mut t = [[0f64; 3]; 4];
-                for (j, tj) in t[..n].iter_mut().enumerate() {
-                    for (row, tr) in tj.iter_mut().enumerate() {
-                        let acc: i64 = (0..3).map(|c| self.matrix[row][c] * lin[j][c]).sum();
-                        let scaled = ((acc + half) >> shift).clamp(0, gmax);
-                        *tr = scaled as f64 / gmax as f64;
-                    }
-                }
-                // Stage 3: PWL companding (or the exact linear branch),
-                // rounded to the PWL output precision.
-                let mut f = [[0f64; 3]; 4];
-                for (j, fj) in f[..n].iter_mut().enumerate() {
-                    *fj = t[j].map(|ti| {
-                        let v = if ti > LAB_EPSILON {
-                            self.pwl.eval(ti)
-                        } else {
-                            (LAB_KAPPA * ti + 16.0) / 116.0
-                        };
-                        (v * pscale).round() / pscale
-                    });
-                }
-                // Stage 4: the three linear combinations, 8-bit encode,
-                // planar write-back.
-                for (j, fj) in f[..n].iter().enumerate() {
-                    let [l, a, b] = lab8::encode([
-                        116.0 * fj[1] - 16.0,
-                        500.0 * (fj[0] - fj[1]),
-                        200.0 * (fj[1] - fj[2]),
-                    ]);
-                    out.l[(x + j, y)] = l;
-                    out.a[(x + j, y)] = a;
-                    out.b[(x + j, y)] = b;
-                }
-                x += n;
-            }
+        let convert = self.datapath();
+        let codes = out.l.iter_mut().zip(out.a.iter_mut()).zip(out.b.iter_mut());
+        for (px, ((l, a), b)) in img.as_raw().chunks_exact(3).zip(codes) {
+            [*l, *a, *b] = convert(Rgb::new(px[0], px[1], px[2]));
         }
     }
 
@@ -263,48 +256,187 @@ impl HwColorConverter {
     /// the float reference over a deterministic sample of the RGB cube —
     /// the validation the paper runs before committing to the LUT design.
     pub fn max_code_error_vs_float(&self, stride: u8) -> [u8; 3] {
-        let stride = stride.max(1);
+        let step = usize::from(stride.max(1));
         let mut max = [0u8; 3];
-        let mut v = 0u16;
-        while v <= 255 {
-            let mut g = 0u16;
-            while g <= 255 {
-                let mut b = 0u16;
-                while b <= 255 {
-                    let px = Rgb::new(v as u8, g as u8, b as u8);
+        for r in (0..=255u8).step_by(step) {
+            for g in (0..=255u8).step_by(step) {
+                for b in (0..=255u8).step_by(step) {
+                    let px = Rgb::new(r, g, b);
                     let hwc = self.convert(px);
                     let refc = lab8::encode(crate::float::rgb8_to_lab(px));
                     for i in 0..3 {
-                        let d = (hwc[i] as i16 - refc[i] as i16).unsigned_abs() as u8;
-                        if d > max[i] {
-                            max[i] = d;
-                        }
+                        max[i] = max[i].max(hwc[i].abs_diff(refc[i]));
                     }
-                    b += stride as u16;
                 }
-                g += stride as u16;
             }
-            v += stride as u16;
         }
         max
     }
 }
 
-/// Free-function form of [`HwColorConverter::convert_image_into`]: runs the
-/// accelerator's LUT conversion of `img` into the caller-owned `out`
-/// planes without allocating. Streaming callers build the converter once
-/// (its LUTs are the only allocation) and reuse `out` across frames.
-///
-/// # Panics
-///
-/// Panics if `out` differs in geometry from `img`.
-pub fn rgb_to_lab8_into(converter: &HwColorConverter, img: &RgbImage, out: &mut Lab8Image) {
-    converter.convert_image_into(img, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-pixel f64 datapath the tables replace, kept as the
+    /// reference they are checked against. Stages 1–2 read the
+    /// converter's own (possibly corrupted) gamma LUT and matrix; stage 3
+    /// runs an unfaulted PWL cube root.
+    struct Reference {
+        pwl: PwlLut,
+        config: HwColorConfig,
+    }
+
+    impl Reference {
+        fn new(config: HwColorConfig) -> Self {
+            let pwl = PwlLut::from_fn_geometric(config.pwl_segments, LAB_EPSILON, 1.0, f64::cbrt);
+            Reference { pwl, config }
+        }
+
+        /// Stage 3: companding via PWL (or the exact linear branch),
+        /// rounded to the PWL output precision.
+        fn stage3(&self, scaled: i64) -> f64 {
+            let ti = scaled as f64 / (1i64 << self.config.gamma_frac_bits) as f64;
+            let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
+            let v = if ti > LAB_EPSILON {
+                self.pwl.eval(ti)
+            } else {
+                (LAB_KAPPA * ti + 16.0) / 116.0
+            };
+            (v * pscale).round() / pscale
+        }
+
+        fn convert(&self, conv: &HwColorConverter, px: Rgb) -> [u8; 3] {
+            let lin = [
+                conv.gamma.lookup(px.r) as i64,
+                conv.gamma.lookup(px.g) as i64,
+                conv.gamma.lookup(px.b) as i64,
+            ];
+            let shift = self.config.matrix_frac_bits as u32;
+            let half = 1i64 << (shift - 1).min(62);
+            let gmax = 1i64 << self.config.gamma_frac_bits;
+            let mut f = [0f64; 3];
+            for (row, fr) in f.iter_mut().enumerate() {
+                let acc: i64 = (0..3).map(|c| conv.matrix[row][c] * lin[c]).sum();
+                *fr = self.stage3(((acc + half) >> shift).clamp(0, gmax));
+            }
+            stage4(f)
+        }
+    }
+
+    /// Stage 4: the three linear combinations and the 8-bit encode.
+    fn stage4(f: [f64; 3]) -> [u8; 3] {
+        lab8::encode([
+            116.0 * f[1] - 16.0,
+            500.0 * (f[0] - f[1]),
+            200.0 * (f[1] - f[2]),
+        ])
+    }
+
+    const NARROW: HwColorConfig = HwColorConfig {
+        gamma_frac_bits: 7,
+        matrix_frac_bits: 9,
+        pwl_segments: 3,
+        pwl_frac_bits: 6,
+    };
+
+    #[test]
+    fn tables_equal_the_reference_over_their_whole_domain() {
+        for config in [HwColorConfig::default(), NARROW] {
+            let conv = HwColorConverter::new(config);
+            let reference = Reference::new(config);
+            let pscale = (1i64 << config.pwl_frac_bits) as f64;
+            let gmax = 1i64 << config.gamma_frac_bits;
+            assert_eq!(conv.k.len() as i64, gmax + 1);
+            for scaled in 0..=gmax {
+                let f = reference.stage3(scaled);
+                let s = scaled as usize;
+                assert_eq!(conv.k[s] as f64 / pscale, f, "{config:?}: k[{scaled}]");
+                assert_eq!(conv.l[s], stage4([f; 3])[0], "{config:?}: l[{scaled}]");
+            }
+            // Every k difference the a/b tables hold, realised by two
+            // in-range k values.
+            let (kmin, kmax) = (conv.k[0], conv.k[gmax as usize]);
+            assert_eq!(conv.k_span, kmax - kmin, "{config:?}: k is monotone");
+            assert_eq!(conv.a.len(), 2 * conv.k_span as usize + 1);
+            assert_eq!(conv.b.len(), conv.a.len());
+            for d in -conv.k_span..=conv.k_span {
+                let (hi, lo) = if d >= 0 {
+                    (kmin + d, kmin)
+                } else {
+                    (kmax + d, kmax)
+                };
+                let (hi, lo) = (hi as f64 / pscale, lo as f64 / pscale);
+                let i = (d + conv.k_span) as usize;
+                assert_eq!(conv.a[i], stage4([hi, lo, lo])[1], "{config:?}: a[{d}]");
+                assert_eq!(conv.b[i], stage4([lo, hi, lo])[2], "{config:?}: b[{d}]");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^24 inputs at four configs; ci.sh runs it in release"]
+    fn table_path_equals_the_reference_on_every_rgb_input() {
+        let eight_bit = HwColorConfig {
+            gamma_frac_bits: 8,
+            matrix_frac_bits: 8,
+            pwl_frac_bits: 8,
+            ..HwColorConfig::default()
+        };
+        let widest = HwColorConfig {
+            gamma_frac_bits: 16,
+            matrix_frac_bits: 16,
+            pwl_segments: 16,
+            pwl_frac_bits: 16,
+        };
+        for config in [HwColorConfig::default(), NARROW, eight_bit, widest] {
+            let conv = HwColorConverter::new(config);
+            let reference = Reference::new(config);
+            for r in 0..=255u8 {
+                for g in 0..=255u8 {
+                    for b in 0..=255u8 {
+                        let px = Rgb::new(r, g, b);
+                        assert_eq!(conv.convert(px), reference.convert(&conv, px), "{config:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_gamma_entries_flow_through_the_tables_like_the_reference() {
+        let clean = HwColorConverter::paper_default();
+        let mut conv = clean.clone();
+        let reference = Reference::new(conv.config());
+        // A sign flip drives `lin` negative, bit 14 drives it past the
+        // 13-bit field of the paper's 12-fraction-bit entries, and an
+        // in-field mask models the fault sweeps' realised corruption.
+        let faults = [(3u8, i32::MIN), (77, 1 << 14), (200, 0x155)];
+        for (code, mask) in faults {
+            conv.corrupt_gamma_entry(code, mask);
+        }
+        assert!(conv.gamma_entry(3) < 0);
+        assert!(conv.gamma_entry(77) >= 1 << 13);
+        for (code, _) in faults {
+            let grey = Rgb::new(code, code, code);
+            assert_ne!(
+                conv.convert(grey),
+                clean.convert(grey),
+                "code {code} is visible"
+            );
+            for u in 0..=255u8 {
+                for v in 0..=255u8 {
+                    for px in [
+                        Rgb::new(code, u, v),
+                        Rgb::new(u, code, v),
+                        Rgb::new(u, v, code),
+                    ] {
+                        assert_eq!(conv.convert(px), reference.convert(&conv, px), "{px:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn convert_image_into_matches_convert_image_bit_for_bit() {
@@ -314,24 +446,15 @@ mod tests {
         let conv = HwColorConverter::paper_default();
         let fresh = conv.convert_image(&img);
         let mut reused = Lab8Image::from_fn(7, 5, |_, _| [1; 3]);
-        rgb_to_lab8_into(&conv, &img, &mut reused);
+        conv.convert_image_into(&img, &mut reused);
         assert_eq!(fresh, reused);
     }
 
     #[test]
-    fn batched_image_conversion_matches_scalar_convert_exactly() {
-        // The four-lane stage-major loop must reproduce the one-pixel
-        // datapath code-for-code, including the partial group at a width
-        // that is not a multiple of four and at non-default precisions.
-        for config in [
-            HwColorConfig::default(),
-            HwColorConfig {
-                gamma_frac_bits: 7,
-                matrix_frac_bits: 9,
-                pwl_segments: 3,
-                pwl_frac_bits: 6,
-            },
-        ] {
+    fn image_conversion_matches_convert_exactly() {
+        // An odd width and a non-default precision: every plane position
+        // must hold its own pixel's codes.
+        for config in [HwColorConfig::default(), NARROW] {
             let conv = HwColorConverter::new(config);
             let img = RgbImage::from_fn(11, 6, |x, y| {
                 Rgb::new(
@@ -346,7 +469,7 @@ mod tests {
                     assert_eq!(
                         lab.pixel(x, y),
                         conv.convert(img.pixel(x, y)),
-                        "batched path diverged at ({x},{y})"
+                        "image path diverged at ({x},{y})"
                     );
                 }
             }
@@ -433,5 +556,45 @@ mod tests {
             pwl_segments: 0,
             ..HwColorConfig::default()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "above 16 bits")]
+    fn gamma_width_17_panics() {
+        let _ = HwColorConverter::new(HwColorConfig {
+            gamma_frac_bits: 17,
+            ..HwColorConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "above 16 bits")]
+    fn pwl_width_17_panics() {
+        let _ = HwColorConverter::new(HwColorConfig {
+            pwl_frac_bits: 17,
+            ..HwColorConfig::default()
+        });
+    }
+
+    #[test]
+    fn integer_matrix_without_fraction_bits_converts() {
+        // At 0 fraction bits the matrix output needs no rounding half.
+        let conv = HwColorConverter::new(HwColorConfig {
+            matrix_frac_bits: 0,
+            ..HwColorConfig::default()
+        });
+        assert_eq!(conv.convert(Rgb::new(0, 0, 0))[0], 0);
+    }
+
+    #[test]
+    fn widest_table_config_builds_with_a_24_bit_matrix() {
+        let conv = HwColorConverter::new(HwColorConfig {
+            gamma_frac_bits: 16,
+            matrix_frac_bits: 24,
+            pwl_segments: 16,
+            pwl_frac_bits: 16,
+        });
+        assert_eq!(conv.k.len(), (1 << 16) + 1);
+        assert_eq!(conv.convert(Rgb::new(255, 255, 255))[0], 255);
     }
 }

@@ -42,6 +42,28 @@ pub fn decode([l8, a8, b8]: [u8; 3]) -> [f64; 3] {
     ]
 }
 
+/// `decode`'s L value for every code, as `f32`, evaluated at compile time.
+const L_DECODE_F32: [f32; 256] = {
+    let mut table = [0f32; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = (i as f64 * 100.0 / 255.0) as f32;
+        i += 1;
+    }
+    table
+};
+
+/// [`decode`] narrowed to `f32`, bit for bit, without the f64 divide: L
+/// comes from a 256-entry table, a and b are exact in `f32`.
+#[inline]
+pub fn decode_f32([l8, a8, b8]: [u8; 3]) -> [f32; 3] {
+    [
+        L_DECODE_F32[l8 as usize],
+        a8 as f32 - 128.0,
+        b8 as f32 - 128.0,
+    ]
+}
+
 /// Worst-case absolute decoding error per channel introduced by the 8-bit
 /// encoding: `[L, a, b]` units.
 pub const MAX_QUANTIZATION_ERROR: [f64; 3] = [100.0 / 255.0 / 2.0, 0.5, 0.5];
@@ -60,6 +82,16 @@ mod tests {
     fn codes_decode_to_their_channel_values() {
         assert_eq!(decode([0, 128, 128]), [0.0, 0.0, 0.0]);
         assert_eq!(decode([255, 0, 255]), [100.0, -128.0, 127.0]);
+    }
+
+    #[test]
+    fn decode_f32_is_bit_equal_to_narrowed_decode() {
+        for c in 0..=255u8 {
+            for codes in [[c, 0, 0], [0, c, 0], [0, 0, c]] {
+                let narrowed = decode(codes).map(|v| (v as f32).to_bits());
+                assert_eq!(decode_f32(codes).map(f32::to_bits), narrowed, "{codes:?}");
+            }
+        }
     }
 
     #[test]

@@ -214,16 +214,14 @@ enum Pixels {
 }
 
 impl Pixels {
-    /// The `[L, a, b]` triple at `(x, y)`. Codes decode on the fly, which
-    /// is what the Center Update Unit and seeding read in quantized mode.
+    /// The `[L, a, b]` triple at `(x, y)`. Codes decode on the fly through
+    /// a table (`lab8::decode_f32`), which is what the Center Update Unit
+    /// and seeding read in quantized mode.
     #[inline]
     fn pixel(&self, x: usize, y: usize) -> [f32; 3] {
         match self {
             Pixels::Float(lab) => lab.pixel(x, y),
-            Pixels::Codes(codes) => {
-                let [l, a, b] = lab8::decode(codes.pixel(x, y));
-                [l as f32, a as f32, b as f32]
-            }
+            Pixels::Codes(codes) => lab8::decode_f32(codes.pixel(x, y)),
         }
     }
 
@@ -1491,10 +1489,10 @@ impl SegmenterSession {
                 SegmentRequest::Lab8(src) => {
                     for y in 0..h {
                         for x in 0..w {
-                            let [l, a, b] = lab8::decode(src.pixel(x, y));
-                            lab.l[(x, y)] = l as f32;
-                            lab.a[(x, y)] = a as f32;
-                            lab.b[(x, y)] = b as f32;
+                            let [l, a, b] = lab8::decode_f32(src.pixel(x, y));
+                            lab.l[(x, y)] = l;
+                            lab.a[(x, y)] = a;
+                            lab.b[(x, y)] = b;
                         }
                     }
                 }

@@ -38,6 +38,10 @@ pub const DATAPATH_FILES: &[&str] = &[
     "crates/hw/src/scratchpad.rs",
     "crates/fixed/src/fx.rs",
     "crates/fixed/src/isqrt.rs",
+    // The accelerator's color unit: per pixel it is gamma-LUT reads, the
+    // fixed-point matrix and table reads. Only the table build in `new`
+    // may use floats.
+    "crates/color/src/hw.rs",
     "crates/fault/src/plan.rs",
     "crates/fault/src/inject.rs",
     // Observability clocks and metrics are integer-only by contract: a
